@@ -4,17 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/des"
 )
 
 // Backfill is the cluster's re-replication path: every extent replica that
 // missed writes during an outage (or was adopted empty by a survivor after
 // DeclareDead) sits in its brick's divergence log until a paced background
 // copy — read the extent from a fresh replica, write it to the stale one —
-// clears it. Pacing uses the same discipline as rebuild, scrub, and the
-// recovery scan: copies start at BackfillMBps-spaced instants on the
-// virtual clock, so backfill competes for bandwidth like any other
-// background class instead of flooding a just-recovered brick.
+// clears it. Pacing uses the same des.Pacer as rebuild, scrub, and the
+// recovery scan, charged as each copy resolves: the next copy starts one
+// extent's transfer time at BackfillMBps later on the virtual clock, so
+// backfill competes for bandwidth like any other background class instead
+// of flooding a just-recovered brick.
 //
 // The log's lifecycle invariant is exact: every entry ever created
 // terminates as precisely one of backfilled or abandoned, so after the
@@ -37,12 +37,6 @@ func (c *Cluster) diverge(b int, e int64) {
 	c.ctr.Diverged++
 }
 
-// backfillInterval is the pacing gap between extent copies.
-func (c *Cluster) backfillInterval() des.Time {
-	bytes := float64(c.pm.extentSectors) * 512
-	return des.Time(bytes / c.opts.BackfillMBps) // bytes / (MB/s * 1e6) s == bytes/MBps us
-}
-
 // startBackfill begins (or resumes) brick b's paced backfill after its
 // breaker closes.
 func (c *Cluster) startBackfill(b int) {
@@ -51,11 +45,13 @@ func (c *Cluster) startBackfill(b int) {
 		return
 	}
 	st.backfillActive = true
-	now := c.rsim().Now()
-	if st.backfillNext < now {
-		st.backfillNext = now
-	}
-	c.rsim().At(st.backfillNext, func() { c.backfillStep(b) })
+	c.armBackfill(b)
+}
+
+// armBackfill schedules brick b's next backfill step once its pacer allows.
+func (c *Cluster) armBackfill(b int) {
+	at := c.br[b].backfillPace.Ready(c.rsim().Now())
+	c.rsim().At(at, func() { c.backfillStep(b) })
 }
 
 // backfillStep copies the next pending extent onto brick b. One extent per
@@ -170,16 +166,17 @@ func (c *Cluster) settleCopy(b int, e int64, gen uint32, ok bool, err error) {
 	c.paceNext(b)
 }
 
-// paceNext arms brick b's next backfill step one pacing interval out, or
-// parks the loop when nothing (or no route) remains.
+// paceNext charges the copy that just resolved and arms brick b's next
+// backfill step once the pacer allows, or parks the loop when nothing (or
+// no route) remains.
 func (c *Cluster) paceNext(b int) {
 	st := &c.br[b]
 	if st.dead || st.state == Open || len(st.div) == 0 {
 		st.backfillActive = false
 		return
 	}
-	st.backfillNext = c.rsim().Now() + c.backfillInterval()
-	c.rsim().At(st.backfillNext, func() { c.backfillStep(b) })
+	st.backfillPace.Charge(c.rsim().Now(), c.pm.extentSectors)
+	c.armBackfill(b)
 }
 
 // sourceMayReturn reports whether any replica of e other than b's sits on

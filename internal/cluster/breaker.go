@@ -80,7 +80,7 @@ type brickState struct {
 	divQ []int64
 
 	backfillActive bool
-	backfillNext   des.Time
+	backfillPace   des.Pacer
 }
 
 // divEntry tracks one stale extent on one brick.

@@ -237,6 +237,7 @@ func build(sims []*des.Sim, send SendFunc, lat des.Time, bricks []core.Volume, o
 	}
 	for i := range c.br {
 		c.br[i].div = make(map[int64]*divEntry)
+		c.br[i].backfillPace.MBps = opts.BackfillMBps
 	}
 	return c, nil
 }

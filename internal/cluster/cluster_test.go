@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -595,5 +596,79 @@ func TestMultiExtentRequest(t *testing.T) {
 	}
 	if got.Failed || got.Count != count {
 		t.Fatalf("multi-extent write: %+v", *got)
+	}
+}
+
+// copyRecorder wraps a brick and records when backfill copies touch it:
+// the instant each extent-sized read is issued (a copy starting on its
+// source) and the instant each extent-sized write completes (a copy
+// resolving on its target). Client I/O in the pacing test is smaller than
+// an extent, so only backfill traffic matches.
+type copyRecorder struct {
+	*core.Array
+	extent          int
+	starts, settles *[]des.Time
+}
+
+func (r copyRecorder) Submit(op core.Op, off int64, count int, async bool, done func(core.Result)) error {
+	if count != r.extent {
+		return r.Array.Submit(op, off, count, async, done)
+	}
+	sim := r.Sim()
+	if op == core.Read {
+		*r.starts = append(*r.starts, sim.Now())
+		return r.Array.Submit(op, off, count, async, done)
+	}
+	return r.Array.Submit(op, off, count, async, func(res core.Result) {
+		*r.settles = append(*r.settles, sim.Now())
+		done(res)
+	})
+}
+
+// TestBackfillPacing: backfill charges each extent copy when it resolves,
+// so the next copy starts exactly extent bytes / BackfillMBps later.
+func TestBackfillPacing(t *testing.T) {
+	const extent, mbps = 512, 8
+	sim := des.New()
+	var starts, settles []des.Time
+	bricks := make([]core.Volume, 3)
+	for i := range bricks {
+		bricks[i] = copyRecorder{Array: newBrick(t, sim, int64(i+1)), extent: extent, starts: &starts, settles: &settles}
+	}
+	cl, err := New(sim, bricks, Options{Replicas: 2, ExtentSectors: extent, Seed: 42, BackfillMBps: mbps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	ios := 200
+	var issue func()
+	issue = func() {
+		if ios == 0 {
+			return
+		}
+		ios--
+		off := rng.Int63n(cl.DataSectors() - 8)
+		if err := cl.Submit(core.Write, off, 8, false, func(core.Result) { issue() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.At(2*des.Millisecond, func() { _ = cl.CrashBrick(2) })
+	sim.At(30*des.Millisecond, func() { _ = cl.Brick(2).Recover() })
+	issue()
+	sim.Run()
+	if !cl.Drain(des.Hour) {
+		t.Fatal("cluster failed to drain")
+	}
+	// Copies of extents a client write dirtied mid-copy are paced like any
+	// other, so starts and settles pair up one to one.
+	if len(starts) < 3 || len(starts) != len(settles) || cl.Counters().Backfilled == 0 {
+		t.Fatalf("%d copy starts and %d settles for %d backfilled extents; want >= 3 paired copies",
+			len(starts), len(settles), cl.Counters().Backfilled)
+	}
+	gap := des.Time(float64(extent*512) / mbps)
+	for i := 1; i < len(starts); i++ {
+		if want := settles[i-1] + gap; math.Abs(float64(starts[i]-want)) > 1e-6 {
+			t.Fatalf("copy %d started at %v, want previous resolve %v + %v", i, starts[i], settles[i-1], gap)
+		}
 	}
 }

@@ -111,7 +111,7 @@ type Options struct {
 	// mirrors in the background.
 	Spares int
 	// RebuildMBps caps the reconstruction bandwidth of a rebuild so
-	// foreground latency stays bounded; 0 means 8 MB/s.
+	// foreground latency stays bounded; 0 means DefaultRebuildMBps.
 	RebuildMBps float64
 
 	// Health configures the per-drive fail-slow health tracker (EWMA
@@ -419,9 +419,6 @@ func New(sim *des.Sim, opts Options) (*Array, error) {
 	}
 	if opts.RebuildMBps < 0 {
 		return nil, fmt.Errorf("core: negative rebuild bandwidth %v", opts.RebuildMBps)
-	}
-	if opts.RebuildMBps == 0 {
-		opts.RebuildMBps = 8
 	}
 	if err := opts.Scrub.validate(); err != nil {
 		return nil, err

@@ -44,11 +44,6 @@ func (d NVRAMDurability) String() string {
 	return "volatile"
 }
 
-// DefaultRecoveryScanMBps paces the post-crash divergence scan when
-// CrashModel.ScanMBps is zero. The scan reads metadata (content versions /
-// checksum summaries), not data, so it runs well above scrub rates.
-const DefaultRecoveryScanMBps = 32.0
-
 // CrashModel configures whole-array power-failure injection. The zero
 // value disables the model entirely.
 type CrashModel struct {
@@ -176,7 +171,7 @@ func (a *Array) Crash() error {
 	// and completion still in flight.
 	a.crashScrubActive = a.scrub != nil && !a.scrub.done
 	if a.crashScrubActive {
-		a.crashScrubOpts = a.scrub.opts
+		a.crashScrubOpts = ScrubOptions{MBps: a.scrub.pace.MBps, Passes: a.scrub.passes}
 	}
 	a.scrub = nil
 	if st := a.rebuild; st != nil {

@@ -366,13 +366,7 @@ func (a *Array) hasRepairSource(d *drive, chunk int64, replica int) bool {
 
 // chunkPiece resolves one whole chunk to its layout piece.
 func (a *Array) chunkPiece(chunk int64) *layout.Piece {
-	unit := int64(a.lay.StripeUnit())
-	off := chunk * unit
-	count := unit
-	if rest := a.lay.DataSectors() - off; rest < count {
-		count = rest
-	}
-	pieces, err := a.lay.Resolve(off, int(count))
+	pieces, err := a.lay.Resolve(chunk*int64(a.lay.StripeUnit()), int(a.chunkSectors(chunk)))
 	if err != nil || len(pieces) != 1 {
 		panic(fmt.Sprintf("core: chunk %d resolved to %d pieces: %v", chunk, len(pieces), err))
 	}
@@ -459,18 +453,14 @@ func (a *Array) noteRepairEnd(origin repairOrigin, done bool) {
 func (a *Array) InjectCorruption(n int, seed int64) int {
 	a.ensureIntegrity()
 	rng := rand.New(rand.NewSource(seed))
-	g := int64(a.opts.Config.Positions())
-	unit := int64(a.lay.StripeUnit())
-	numChunks := (a.lay.DataSectors() + unit - 1) / unit
 	injected := 0
 	for attempts := 0; injected < n && attempts < 64*(n+1); attempts++ {
 		slot := rng.Intn(len(a.drives))
-		first := int64(slot) % g
-		slotChunks := (numChunks - first + g - 1) / g
+		slotChunks := a.slotChunks(slot)
 		if slotChunks <= 0 {
 			continue
 		}
-		chunk := first + rng.Int63n(slotChunks)*g
+		chunk := a.slotChunk(slot, rng.Int63n(slotChunks))
 		rep := rng.Intn(a.opts.Config.Dr)
 		d := a.drives[slot]
 		if d.failed || d.unreadable(chunk) {

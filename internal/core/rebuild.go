@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/bus"
 	"repro/internal/des"
-	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/sched"
 )
@@ -15,8 +12,9 @@ import (
 // drive's slot and every chunk of that position is reconstructed from a
 // surviving mirror. Reconstruction runs chunk-by-chunk:
 //
-//   - the pump paces chunk starts to Options.RebuildMBps, so rebuild
-//     bandwidth — not foreground latency — is what the cap sacrifices;
+//   - a des.Pacer charges each chunk when the pump schedules it and holds
+//     chunk starts to Options.RebuildMBps, so rebuild bandwidth — not
+//     foreground latency — is what the cap sacrifices;
 //   - each chunk takes the per-chunk write gate, so reconstruction never
 //     interleaves with a foreground write of the same chunk;
 //   - the source read is a Background request: it yields to foreground
@@ -97,12 +95,10 @@ func (a *Array) RebuildProgress() RebuildProgress {
 		return RebuildProgress{}
 	}
 	remaining := st.total - st.done - st.lost
-	unit := int64(a.lay.StripeUnit())
-	perChunk := des.Time(float64(unit*disk.SectorSize) / a.opts.RebuildMBps)
 	return RebuildProgress{
 		Active: true, Slot: st.slot,
 		Total: st.total, Done: st.done, Lost: st.lost,
-		ETA: des.Time(remaining) * perChunk,
+		ETA: des.Time(remaining) * st.pace.Gap(int64(a.lay.StripeUnit())),
 	}
 }
 
@@ -130,9 +126,8 @@ type rebuildState struct {
 	activeChunk int64
 	gateHeld    bool
 	cancelled   bool
-	// nextAt is the earliest start time of the next chunk — the pacing
-	// that caps reconstruction bandwidth.
-	nextAt des.Time
+	// pace caps reconstruction bandwidth.
+	pace des.Pacer
 }
 
 // maybeStartRebuild begins reconstructing the lowest-numbered failed slot
@@ -158,20 +153,34 @@ func (a *Array) maybeStartRebuild() {
 	a.spares = a.spares[1:]
 	spare.id = slot
 	a.drives[slot] = spare
-
 	// Every chunk of the slot's position is missing until reconstructed.
-	g := int64(a.opts.Config.Positions())
-	unit := int64(a.lay.StripeUnit())
-	numChunks := (a.lay.DataSectors() + unit - 1) / unit
-	spare.missing = make(map[int64]bool)
-	var pending []int64
-	for c := int64(slot % a.opts.Config.Positions()); c < numChunks; c += g {
+	pending := a.slotChunkList(slot, func(int64) bool { return true })
+	spare.missing = make(map[int64]bool, len(pending))
+	for _, c := range pending {
 		spare.missing[c] = true
-		pending = append(pending, c)
 	}
+	a.beginRebuild(slot, pending)
+}
+
+// slotChunkList lists the chunks of slot that want selects, ascending.
+// Enumeration is arithmetic, never map order, so rebuilds (resumed ones
+// included) are deterministic.
+func (a *Array) slotChunkList(slot int, want func(c int64) bool) []int64 {
+	var chunks []int64
+	for n := int64(0); n < a.slotChunks(slot); n++ {
+		if c := a.slotChunk(slot, n); want(c) {
+			chunks = append(chunks, c)
+		}
+	}
+	return chunks
+}
+
+// beginRebuild starts reconstructing the pending chunks onto slot's drive.
+func (a *Array) beginRebuild(slot int, pending []int64) {
 	st := &rebuildState{
 		slot: slot, pending: pending, total: len(pending),
-		started: a.sim.Now(), activeChunk: -1, nextAt: a.sim.Now(),
+		started: a.sim.Now(), activeChunk: -1,
+		pace: des.Pacer{MBps: a.rates().RebuildMBps},
 	}
 	a.rebuild = st
 	a.faults.RebuildsStarted++
@@ -194,18 +203,6 @@ func (a *Array) cancelRebuild() {
 	a.rebuild = nil
 }
 
-// rebuildInterval is the pacing delay the chunk's size earns at the
-// bandwidth cap.
-func (a *Array) rebuildInterval(c int64) des.Time {
-	unit := int64(a.lay.StripeUnit())
-	count := unit
-	if rest := a.lay.DataSectors() - c*unit; rest < count {
-		count = rest
-	}
-	// bytes / (MB/s) = bytes/(bytes/µs) = µs, the 1e6 factors cancel.
-	return des.Time(float64(count*disk.SectorSize) / a.opts.RebuildMBps)
-}
-
 // scheduleNextChunk starts the next pending chunk no earlier than the
 // pacing allows, or completes the rebuild.
 func (a *Array) scheduleNextChunk(st *rebuildState) {
@@ -219,12 +216,7 @@ func (a *Array) scheduleNextChunk(st *rebuildState) {
 	c := st.pending[st.next]
 	st.next++
 	now := a.sim.Now()
-	at := st.nextAt
-	if at < now {
-		at = now
-	}
-	st.nextAt = at + a.rebuildInterval(c)
-	if at > now {
+	if at := st.pace.Charge(now, a.chunkSectors(c)); at > now {
 		a.sim.At(at, func() { a.startChunk(st, c) })
 		return
 	}
@@ -256,29 +248,13 @@ func (a *Array) startChunk(st *rebuildState, c int64) {
 				return
 			}
 			st.activeChunk, st.gateHeld = c, true
-			a.reconstructChunk(st, c)
+			a.readForRebuild(st, c, a.chunkPiece(c))
 		}})
 		return
 	}
 	a.writeGate[c] = nil
 	st.activeChunk, st.gateHeld = c, true
-	a.reconstructChunk(st, c)
-}
-
-// reconstructChunk resolves the chunk's layout and reads it from a
-// surviving mirror.
-func (a *Array) reconstructChunk(st *rebuildState, c int64) {
-	unit := int64(a.lay.StripeUnit())
-	off := c * unit
-	count := unit
-	if rest := a.lay.DataSectors() - off; rest < count {
-		count = rest
-	}
-	pieces, err := a.lay.Resolve(off, int(count))
-	if err != nil || len(pieces) != 1 {
-		panic(fmt.Sprintf("core: rebuild chunk %d resolved to %d pieces: %v", c, len(pieces), err))
-	}
-	a.readForRebuild(st, c, &pieces[0])
+	a.readForRebuild(st, c, a.chunkPiece(c))
 }
 
 // readForRebuild issues a background read of the chunk on the

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/des"
-	"repro/internal/disk"
 	"repro/internal/sched"
 )
 
@@ -13,9 +12,9 @@ import (
 // verification only touches data somebody reads, so a latent error in a
 // cold chunk sits undetected until the day its mirror fails and the
 // rebuild copies garbage. The scrubber walks every drive's chunk copies in
-// cylinder order (chunks of a slot ascend physically), issuing
-// Background-class verify reads that yield to foreground traffic, paced to
-// a bandwidth cap exactly like rebuild reconstruction, and stepping aside
+// cylinder order (a copyWalk, shared with the recovery scan), issuing
+// Background-class verify reads that yield to foreground traffic, paced by
+// a des.Pacer charged as each read issues, and stepping aside
 // entirely while any foreground queue crosses the half-depth overload
 // threshold. A divergent copy is condemned, a clean source is re-read (the
 // repair data has to come from somewhere), and the rewrite rides the
@@ -26,18 +25,13 @@ import (
 // interference is bounded by a single Background command per array plus
 // the paced repair writes.
 
-// DefaultScrubMBps paces a scrubber that sets no explicit rate: gentle
-// enough to hide under foreground traffic, fast enough to cover a
-// prototype-sized volume in minutes of simulated time.
-const DefaultScrubMBps = 4.0
-
 // ScrubOptions configures the background scrubber.
 type ScrubOptions struct {
 	// Enabled starts the scrubber at array construction (via
 	// Options.Scrub). StartScrub ignores it.
 	Enabled bool
-	// MBps caps the verify-read bandwidth per pass; 0 means
-	// DefaultScrubMBps.
+	// MBps caps the verify-read bandwidth per pass; 0 inherits
+	// Tuning.ScrubMBps, and DefaultScrubMBps when that is 0 too.
 	MBps float64
 	// Passes is how many full passes to run before the scrubber retires;
 	// 0 means 1.
@@ -90,30 +84,65 @@ type ScrubProgress struct {
 	Done, Total int64
 }
 
-// scrubCursor is one slot's scan position: copy (chunkIndex n, replica
-// rep), where the slot's n-th chunk is slot%G + n*G. Keyed by slot, not
-// drive, so a spare swapped in mid-pass inherits the cursor and nothing is
-// stranded.
-type scrubCursor struct {
-	n   int64
-	rep int
-}
-
 // scrubState is one scrubber run (possibly several passes).
 type scrubState struct {
-	opts ScrubOptions
-	// cur holds each slot's cursor; slot is the next slot to step
-	// (round-robin across slots spreads the verify load).
-	cur  []scrubCursor
-	slot int
+	passes int // how many passes to run
+	walk   copyWalk
+	pace   des.Pacer
 	// pass is the 0-based pass index; done retires the scrubber.
 	pass int
 	done bool
 	// passDone/passTotal count chunk copies for progress reporting.
 	passDone  int64
 	passTotal int64
-	// nextAt paces issuance to the bandwidth cap, as rebuildState does.
-	nextAt des.Time
+}
+
+// copyWalk visits every chunk copy (slot, chunk, replica): round-robin
+// across slots, which spreads the load, and within a slot in cylinder
+// order (a slot's chunks ascend physically), replica by replica. The
+// scrubber and the recovery scan both walk this way. Cursors are keyed by
+// slot, not drive, so a spare swapped in mid-walk inherits its slot's
+// position and nothing is stranded.
+type copyWalk struct {
+	cur  []walkCursor // indexed by slot
+	slot int          // the next slot to step
+}
+
+// walkCursor is one slot's next copy: its n-th chunk, replica rep.
+type walkCursor struct {
+	n   int64
+	rep int
+}
+
+func (a *Array) newCopyWalk() copyWalk {
+	return copyWalk{cur: make([]walkCursor, len(a.drives))}
+}
+
+// next returns the walk's next copy and advances past it; ok is false once
+// every slot is exhausted.
+func (w *copyWalk) next(a *Array) (slot int, chunk int64, rep int, ok bool) {
+	for i := range w.cur {
+		slot = (w.slot + i) % len(w.cur)
+		cur := &w.cur[slot]
+		if cur.n >= a.slotChunks(slot) {
+			continue
+		}
+		chunk, rep = a.slotChunk(slot, cur.n), cur.rep
+		if cur.rep++; cur.rep >= a.opts.Config.Dr {
+			cur.rep = 0
+			cur.n++
+		}
+		w.slot = (slot + 1) % len(w.cur)
+		return slot, chunk, rep, true
+	}
+	return 0, 0, 0, false
+}
+
+// chunkSectors is chunk c's size: one stripe unit, less for a short last
+// chunk.
+func (a *Array) chunkSectors(c int64) int64 {
+	unit := int64(a.lay.StripeUnit())
+	return min(unit, a.lay.DataSectors()-c*unit)
 }
 
 // slotChunks returns how many chunks live on a slot.
@@ -121,11 +150,17 @@ func (a *Array) slotChunks(slot int) int64 {
 	g := int64(a.opts.Config.Positions())
 	unit := int64(a.lay.StripeUnit())
 	numChunks := (a.lay.DataSectors() + unit - 1) / unit
-	first := int64(slot % a.opts.Config.Positions())
+	first := int64(slot) % g
 	if first >= numChunks {
 		return 0
 	}
 	return (numChunks - first + g - 1) / g
+}
+
+// slotChunk returns the slot's n-th chunk.
+func (a *Array) slotChunk(slot int, n int64) int64 {
+	g := int64(a.opts.Config.Positions())
+	return int64(slot)%g + n*g
 }
 
 // StartScrub begins a scrubber run. It turns the integrity oracle on (a
@@ -142,13 +177,13 @@ func (a *Array) StartScrub(o ScrubOptions) error {
 		return fmt.Errorf("core: scrub already running")
 	}
 	if o.MBps == 0 {
-		o.MBps = DefaultScrubMBps
+		o.MBps = a.rates().ScrubMBps
 	}
 	if o.Passes == 0 {
 		o.Passes = 1
 	}
 	a.ensureIntegrity()
-	s := &scrubState{opts: o, cur: make([]scrubCursor, len(a.drives)), nextAt: a.sim.Now()}
+	s := &scrubState{passes: o.Passes, walk: a.newCopyWalk(), pace: des.Pacer{MBps: o.MBps}}
 	for slot := range a.drives {
 		s.passTotal += a.slotChunks(slot) * int64(a.opts.Config.Dr)
 	}
@@ -171,17 +206,6 @@ func (a *Array) ScrubProgress() ScrubProgress {
 	return ScrubProgress{Active: true, Pass: s.pass + 1, Done: s.passDone, Total: s.passTotal}
 }
 
-// scrubInterval is the pacing delay one chunk's verify read earns at the
-// bandwidth cap.
-func (a *Array) scrubInterval(c int64) des.Time {
-	unit := int64(a.lay.StripeUnit())
-	count := unit
-	if rest := a.lay.DataSectors() - c*unit; rest < count {
-		count = rest
-	}
-	return des.Time(float64(count*disk.SectorSize) / a.scrub.opts.MBps)
-}
-
 // scrubNext schedules the next cursor step no earlier than the pacing
 // allows.
 func (a *Array) scrubNext() {
@@ -190,19 +214,15 @@ func (a *Array) scrubNext() {
 		return
 	}
 	now := a.sim.Now()
-	at := s.nextAt
-	if at < now {
-		at = now
-	}
-	if at > now {
+	if at := s.pace.Ready(now); at > now {
 		a.sim.At(at, func() { a.scrubTick(s) })
 		return
 	}
 	a.scrubTick(s)
 }
 
-// scrubTick advances the scan by one chunk copy: pick the next unexhausted
-// slot cursor, charge the pacing, and issue (or skip) the verify read. The
+// scrubTick advances the scan by one chunk copy: take the walk's next
+// copy, charge the pacer, and issue (or skip) the verify read. The
 // chain continues from the read's completion.
 func (a *Array) scrubTick(s *scrubState) {
 	if s.done || s != a.scrub {
@@ -214,33 +234,13 @@ func (a *Array) scrubTick(s *scrubState) {
 		a.sim.At(a.sim.Now()+throttleRecheck, func() { a.scrubTick(s) })
 		return
 	}
-	// Find the next slot with work, round-robin from s.slot.
-	slot := -1
-	for i := 0; i < len(s.cur); i++ {
-		cand := (s.slot + i) % len(s.cur)
-		if s.cur[cand].n < a.slotChunks(cand) {
-			slot = cand
-			break
-		}
-	}
-	if slot < 0 {
+	slot, chunk, rep, ok := s.walk.next(a)
+	if !ok {
 		a.scrubPassDone(s)
 		return
 	}
-	cur := &s.cur[slot]
-	g := int64(a.opts.Config.Positions())
-	chunk := int64(slot%a.opts.Config.Positions()) + cur.n*g
-	rep := cur.rep
-	// Advance: next replica of the chunk, then the slot's next chunk; the
-	// round-robin pointer moves on either way.
-	cur.rep++
-	if cur.rep >= a.opts.Config.Dr {
-		cur.rep = 0
-		cur.n++
-	}
-	s.slot = (slot + 1) % len(s.cur)
 	s.passDone++
-	s.nextAt = a.sim.Now() + a.scrubInterval(chunk)
+	s.pace.Charge(a.sim.Now(), a.chunkSectors(chunk))
 
 	d := a.drives[slot]
 	_, gated := a.writeGate[chunk]
@@ -377,14 +377,11 @@ func (a *Array) scrubPassDone(s *scrubState) {
 		a.obsRec.ScrubPasses++
 	}
 	s.pass++
-	if s.pass >= s.opts.Passes {
+	if s.pass >= s.passes {
 		s.done = true
 		return
 	}
-	for i := range s.cur {
-		s.cur[i] = scrubCursor{}
-	}
-	s.slot = 0
+	s.walk = a.newCopyWalk()
 	s.passDone = 0
 	a.scrubNext()
 }

@@ -81,11 +81,10 @@ type Sharded struct {
 	// executing a shard appends to that shard's buffer, and the barrier
 	// (which has a happens-after edge on every worker) drains them all.
 	out [][]message
-	// ch/wg coordinate the persistent epoch workers (ch[0] is unused: the
-	// calling goroutine acts as worker 0). Once the pool starts, its size
-	// is frozen; each epoch recruits a prefix of it.
-	ch []chan epochRun
-	wg sync.WaitGroup
+	// pool/wg coordinate the persistent epoch workers. Once the pool
+	// starts, its size is frozen; each epoch recruits a prefix of it.
+	pool *workerPool
+	wg   sync.WaitGroup
 	// next caches each shard's next-event timestamp for the epoch scan
 	// (+Inf for an empty queue); only RunUntil touches it.
 	next []Time
@@ -96,6 +95,7 @@ type Sharded struct {
 // shard count — extra workers would only add synchronization cost); each
 // participant k covers shards k, k+stride, ....
 type epochRun struct {
+	sh        *Sharded
 	boundary  Time // exclusive upper bound of the window
 	inclusive bool // final partial epoch: run <= horizon instead
 	horizon   Time
@@ -207,8 +207,8 @@ func (sh *Sharded) RunUntil(t Time) {
 	if workers > len(sh.shards) {
 		workers = len(sh.shards)
 	}
-	if sh.ch != nil {
-		workers = len(sh.ch) // pool already started: its size is frozen
+	if sh.pool != nil {
+		workers = len(sh.pool.ch) // pool already started: its size is frozen
 	} else if workers > 1 {
 		sh.startWorkers(workers)
 	}
@@ -232,7 +232,7 @@ func (sh *Sharded) RunUntil(t Time) {
 		if !ok || m > t {
 			break
 		}
-		run := epochRun{boundary: m + sh.lookahead, horizon: t}
+		run := epochRun{sh: sh, boundary: m + sh.lookahead, horizon: t}
 		if run.boundary > t {
 			run.boundary = t
 			run.inclusive = true
@@ -269,7 +269,7 @@ func (sh *Sharded) RunUntil(t Time) {
 			run.stride = active
 			sh.wg.Add(active - 1)
 			for k := 1; k < active; k++ {
-				sh.ch[k] <- run
+				sh.pool.ch[k] <- run
 			}
 			sh.runShards(0, active, run)
 			sh.wg.Wait()
@@ -283,20 +283,51 @@ func (sh *Sharded) RunUntil(t Time) {
 	}
 }
 
+// workerPool holds the epoch workers' channels (ch[0] is unused: the
+// calling goroutine acts as worker 0). Only the engine refers to the pool,
+// and a worker parked between epochs holds nothing but its channel — each
+// epoch's engine pointer travels in the message. A dropped engine is
+// therefore collectable even while its own pending events refer back to
+// it, and the pool's finalizer then closes the channels so the workers
+// exit.
+type workerPool struct {
+	ch []chan epochRun
+}
+
 // startWorkers spins up the persistent epoch workers (main participates as
-// worker 0, so workers-1 goroutines). They live for the engine's lifetime.
+// worker 0, so workers-1 goroutines). They live until the engine is
+// collected.
 func (sh *Sharded) startWorkers(workers int) {
-	sh.ch = make([]chan epochRun, workers)
+	sh.pool = &workerPool{ch: make([]chan epochRun, workers)}
 	for k := 1; k < workers; k++ {
 		ch := make(chan epochRun)
-		sh.ch[k] = ch
-		go func(k int, ch chan epochRun) {
-			for run := range ch {
-				sh.runShards(k, run.stride, run)
-				sh.wg.Done()
+		sh.pool.ch[k] = ch
+		go func() {
+			for runEpoch(k, ch) {
 			}
-		}(k, ch)
+		}()
 	}
+	runtime.SetFinalizer(sh.pool, func(p *workerPool) {
+		for _, ch := range p.ch[1:] {
+			close(ch)
+		}
+	})
+}
+
+// runEpoch waits for one epoch and runs worker k's share of it; false once
+// the pool is closed. It stays out of line so the received engine pointer
+// dies with its frame: a worker parked in the next call keeps no engine
+// reachable.
+//
+//go:noinline
+func runEpoch(k int, ch <-chan epochRun) bool {
+	run, ok := <-ch
+	if !ok {
+		return false
+	}
+	run.sh.runShards(k, run.stride, run)
+	run.sh.wg.Done()
+	return true
 }
 
 // runShards executes one epoch for the shards assigned to worker k

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // pingPong runs a randomized cross-shard workload on n shards with the
@@ -183,5 +185,41 @@ func TestWorkerCountValidation(t *testing.T) {
 		if err := sh.SetWorkers(ok); err != nil {
 			t.Fatalf("SetWorkers(%d) on 4 shards: %v", ok, err)
 		}
+	}
+}
+
+// TestShardedWorkersReleased: an engine that ran on several workers and is
+// then dropped releases its worker goroutines once it is collected — also
+// when events still pending on its shards refer back to the engine.
+func TestShardedWorkersReleased(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		sh := NewSharded(4, 1)
+		if err := sh.SetWorkers(2); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < sh.Shards(); s++ {
+			s := s
+			var tick func()
+			tick = func() {
+				sh.Send(s, (s+1)%sh.Shards(), sh.Shard(s).Now()+1, func() {})
+				sh.Shard(s).After(1, tick)
+			}
+			sh.Shard(s).At(0, tick)
+		}
+		sh.RunUntil(50)
+		if sh.Pending() == 0 {
+			t.Fatal("no events left pending; the test would not exercise a live engine")
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before building the engines: dropped engines kept their workers",
+				runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

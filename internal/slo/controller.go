@@ -251,10 +251,12 @@ func (c *Controller) step(at des.Time, to Level) {
 func (c *Controller) apply() {
 	t := c.base
 	if c.level >= DegradeBackground {
-		floor := c.opts.Actuators.backgroundMBps()
-		t.RebuildMBps = clampMBps(c.base.RebuildMBps, floor, 8)
-		t.ScrubMBps = clampMBps(c.base.ScrubMBps, floor, core.DefaultScrubMBps)
-		t.RecoveryScanMBps = clampMBps(c.base.RecoveryScanMBps, floor, core.DefaultRecoveryScanMBps)
+		// A configured 0 means the default at next start, so it clamps as
+		// the default does.
+		floor, eff := c.opts.Actuators.backgroundMBps(), c.base.Effective()
+		t.RebuildMBps = math.Min(eff.RebuildMBps, floor)
+		t.ScrubMBps = math.Min(eff.ScrubMBps, floor)
+		t.RecoveryScanMBps = math.Min(eff.RecoveryScanMBps, floor)
 		if ha := c.opts.Actuators.HedgeAfter; ha > 0 {
 			t.HedgeAfter = ha
 		}
@@ -274,19 +276,6 @@ func (c *Controller) apply() {
 		// Every field is a clamp of values SetTuning already accepted.
 		panic(fmt.Sprintf("slo: apply rejected: %v", err))
 	}
-}
-
-// clampMBps lowers a configured pacing rate to floor. A configured 0
-// means "the default def at next start", so it clamps as def does.
-func clampMBps(configured, floor, def float64) float64 {
-	cur := configured
-	if cur == 0 {
-		cur = def
-	}
-	if cur < floor {
-		return cur
-	}
-	return floor
 }
 
 // p99 computes the same nearest-rank percentile the load generator and
