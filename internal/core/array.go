@@ -277,7 +277,7 @@ type Array struct {
 	freeFGs         *fgWrite
 	freeCopies      *delayedCopy
 	freeEntries     *propEntry
-	freeChunkStates *chunkState
+	freeChunkStates []*chunkState
 	// touched is registerPropagation's reusable drive set.
 	touched []*drive
 
@@ -969,6 +969,7 @@ func (a *Array) FailDrive(i int) error {
 	// marked staleness (the chunk was missing outright), and in-place
 	// repairs die with the drive (counted as dropped).
 	for _, c := range d.delayed {
+		a.unlinkCopy(d, c)
 		a.finishCopy(d, c, false, bus.Completion{})
 		a.putCopy(c)
 	}

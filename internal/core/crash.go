@@ -216,6 +216,7 @@ func (a *Array) crashDrive(d *drive) {
 		if !c.rebuild && !c.repair {
 			a.crashDelayed++
 		}
+		a.unlinkCopy(d, c)
 		a.finishCopy(d, c, false, bus.Completion{})
 		a.putCopy(c)
 	}
@@ -234,7 +235,7 @@ func (a *Array) crashRun(r *extentRun, inFlight bool) {
 	a.putRun(r)
 	if kind == runDelayed {
 		if torn {
-			a.poisonCopy(d, dc.chunk, dc.replica)
+			a.poisonCopy(d, a.copyChunk(dc), int(dc.replica))
 		}
 		a.finishCopy(d, dc, false, bus.Completion{})
 		a.putCopy(dc)
@@ -273,7 +274,7 @@ func (a *Array) crashRun(r *extentRun, inFlight bool) {
 		tag.ur.pieceFailed(ErrCrashed)
 	case tagPromote:
 		if torn {
-			a.poisonCopy(d, tag.dc.chunk, tag.dc.replica)
+			a.poisonCopy(d, a.copyChunk(tag.dc), int(tag.dc.replica))
 		}
 		a.finishCopy(d, tag.dc, false, bus.Completion{})
 		a.putCopy(tag.dc)

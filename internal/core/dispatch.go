@@ -387,6 +387,9 @@ func (a *Array) finishRun(r *extentRun, last bus.Completion, clean bool) {
 			// Double fault with the drive alive: the copy must still land.
 			// Put it back at the front and let the next idle window retry.
 			d.delayed = append([]*delayedCopy{c}, d.delayed...)
+			if !c.rebuild && !c.repair {
+				d.stale[a.copyChunk(c)].link(c, true)
+			}
 		}
 		a.kick(d)
 		if pr != nil {

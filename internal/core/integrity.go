@@ -400,11 +400,10 @@ func (a *Array) queueRepair(d *drive, chunk int64, replica int, origin repairOri
 		a.faults.RepairsQueued++
 	}
 	p := a.chunkPiece(chunk)
-	entry := &propEntry{remaining: 1}
+	entry := &propEntry{remaining: 1, ver: a.committed[chunk]}
 	d.delayed = append(d.delayed, &delayedCopy{
-		entry: entry, replica: replica, extents: p.Replicas[replica],
-		chunk: chunk, off: p.Off, count: p.Count,
-		repair: true, origin: origin, ver: a.committed[chunk],
+		entry: entry, replica: int32(replica), extents: p.Replicas[replica],
+		off: p.Off, count: int32(p.Count), repair: true, origin: origin,
 	})
 	a.kick(d)
 }

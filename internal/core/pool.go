@@ -6,8 +6,10 @@ package core
 // extent-run driving the bus commands, the userRequest holding the resolved
 // layout pieces, and for delayed writes the propagation bookkeeping
 // (delayedCopy / propEntry / chunkState). Each kind recycles through an
-// intrusive free list on the Array: the array is single-goroutine by
-// construction (everything runs on its Sim), so the lists need no locking.
+// intrusive free list on the Array — except chunkState, whose one link
+// field holds its chunk index, so it recycles through a slice stack. The
+// array is single-goroutine by construction (everything runs on its Sim),
+// so the lists need no locking.
 //
 // Lifetime rules (the part that makes pooling safe):
 //
@@ -367,7 +369,7 @@ func (a *Array) putCopy(c *delayedCopy) {
 	if poisonPools {
 		c.entry = nil
 		c.extents = nil
-		c.chunk, c.off = -1, -1
+		c.off = -1
 	}
 	c.next = a.freeCopies
 	a.freeCopies = c
@@ -392,36 +394,38 @@ func (a *Array) putEntry(e *propEntry) {
 	e.free = true
 	if poisonPools {
 		e.remaining = -1 << 30
+		e.ver = ^uint64(0)
 		e.onAllDone = nil
 	}
 	e.next = a.freeEntries
 	a.freeEntries = e
 }
 
+// chunkStateBatch is how many chunkStates an empty pool allocates at once:
+// one allocation for the states and one for all their counts.
+const chunkStateBatch = 64
+
 // getChunkState returns a chunkState with a zeroed staleCount sized to the
-// configuration's Dr.
+// configuration's Dr (a chunkState returns to the pool only once every
+// count is back to zero).
 func (a *Array) getChunkState() *chunkState {
 	dr := a.opts.Config.Dr
-	cs := a.freeChunkStates
-	if cs == nil {
-		return &chunkState{staleCount: make([]int, dr)}
-	}
-	a.freeChunkStates = cs.next
-	cs.next = nil
-	if cap(cs.staleCount) < dr {
-		cs.staleCount = make([]int, dr)
-	} else {
-		cs.staleCount = cs.staleCount[:dr]
-		for i := range cs.staleCount {
-			cs.staleCount[i] = 0
+	if len(a.freeChunkStates) == 0 {
+		states := make([]chunkState, chunkStateBatch)
+		counts := make([]int, chunkStateBatch*dr)
+		for i := range states {
+			states[i].staleCount = counts[i*dr : (i+1)*dr : (i+1)*dr]
+			a.freeChunkStates = append(a.freeChunkStates, &states[i])
 		}
 	}
+	n := len(a.freeChunkStates)
+	cs := a.freeChunkStates[n-1]
+	a.freeChunkStates = a.freeChunkStates[:n-1]
 	return cs
 }
 
 func (a *Array) putChunkState(cs *chunkState) {
-	cs.next = a.freeChunkStates
-	a.freeChunkStates = cs
+	a.freeChunkStates = append(a.freeChunkStates, cs)
 }
 
 // tagDone runs a completed request's continuation: the kind-dispatched

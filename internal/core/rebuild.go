@@ -374,18 +374,16 @@ func (a *Array) chunkRestorable(st *rebuildState, c int64, p *layout.Piece) bool
 // chunk, so the committed version cannot advance under these copies.
 func (a *Array) writeRebuildCopies(st *rebuildState, c int64, p *layout.Piece, poison bool) {
 	spare := a.drives[st.slot]
-	entry := &propEntry{onAllDone: func() {
+	entry := &propEntry{ver: a.committed[c], onAllDone: func() {
 		if st.cancelled {
 			return
 		}
 		a.finishChunk(st, c)
 	}}
-	ver := a.committed[c]
 	for j := 0; j < a.opts.Config.Dr; j++ {
 		spare.delayed = append(spare.delayed, &delayedCopy{
-			entry: entry, replica: j, extents: p.Replicas[j],
-			chunk: c, off: p.Off, count: p.Count, rebuild: true,
-			poison: poison, ver: ver,
+			entry: entry, replica: int32(j), extents: p.Replicas[j],
+			off: p.Off, count: int32(p.Count), rebuild: true, poison: poison,
 		})
 		entry.remaining++
 	}

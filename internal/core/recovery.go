@@ -212,7 +212,7 @@ func (a *Array) recScanStep(s *recoveryScan) bool {
 // is already queued in the drive's delayed queue.
 func (a *Array) repairPending(d *drive, chunk int64, replica int) bool {
 	for _, c := range d.delayed {
-		if c.repair && c.chunk == chunk && c.replica == replica {
+		if c.repair && a.copyChunk(c) == chunk && int(c.replica) == replica {
 			return true
 		}
 	}
